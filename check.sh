@@ -72,3 +72,8 @@ go test -race -run '^TestFaultStormCoalesces$' -count=1 -cpu 1,4 ./internal/core
 # (BENCH_fault.json records the full numbers).
 go test -run '^TestFaultBenchSmoke$' -count=1 .
 go test -bench . -benchtime=1x -run '^$' ./...
+# Swap-benchmark gate: perfbench is its own module, so ./... above skips it.
+# Its TestPhaseSums checks that every SwapEvent's phases add up to its
+# duration, that the per-layer phase view adds up to objectswap_swap_seconds,
+# and that an explicit swap-out's wall time stays close to its span.
+(cd perfbench && GOFLAGS= GOPROXY=off go vet . && go test -race -count=1 .)

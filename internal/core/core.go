@@ -252,7 +252,6 @@ type Runtime struct {
 	obsReg      *obs.Registry
 	tracer      *obs.Tracer
 	swapErrors  *obs.CounterVec
-	coreEvents  *obs.CounterVec
 	wireBytes   *obs.CounterVec
 	wireSeconds *obs.HistogramVec
 	recorder    *obs.Recorder
@@ -547,12 +546,71 @@ func (rt *Runtime) resolveCause(cause string) string {
 	return CauseExplicit
 }
 
-// recordFault streams one completed swap fault into the telemetry plane.
-// Called after all locks are released, alongside event emission.
-func (rt *Runtime) recordFault(op string, id ClusterID, cause string, d time.Duration, bytes int) {
-	if rt.telem != nil {
-		rt.telem.RecordSwap(op, uint32(id), cause, d.Seconds(), int64(bytes))
+// swapKind names one kind of swap operation in each channel its record
+// feeds.
+type swapKind struct {
+	op     string      // span and telemetry operation
+	errOp  string      // objectswap_swap_errors_total label
+	done   string      // log message of a completed operation
+	failed string      // log message of a failed one
+	topic  event.Topic // publishes the completed record
+}
+
+var (
+	swapOutKind = &swapKind{"swap_out", "swap_out", "swap-out", "swap-out failed", event.TopicSwapOut}
+	swapInKind  = &swapKind{"swap_in", "swap_in", "swap-in", "swap-in failed", event.TopicSwapIn}
+	repairKind  = &swapKind{"swap_repair", "repair", "cluster repaired", "repair failed", event.TopicSwapRepair}
+)
+
+// finishSwap closes one swap operation from its record ev, which the
+// operation filled as it proceeded, and returns what the operation returns.
+// Called after all locks are released.
+//
+// A failed operation fails the span with the labels known when it died,
+// then counts and logs the error; ErrNoRepair only fails the span. A
+// completed one ends the span first, so ev.Duration and the duration
+// histograms stop before the reporting: telemetry, the log line (extra
+// fields appended) and the bus publication all read ev.
+func (rt *Runtime) finishSwap(k *swapKind, span *obs.Span, ev *SwapEvent, err error, extra ...any) (SwapEvent, error) {
+	if err != nil {
+		span.Fail(ev.spanLabels(), err)
+		if !errors.Is(err, ErrNoRepair) {
+			rt.swapErrors.With(k.errOp).Inc()
+			rt.logger.Warn(k.failed, "trace", ev.Trace, "cluster", uint32(ev.Cluster), "err", err)
+		}
+		return SwapEvent{}, err
 	}
+	ev.Phases, ev.Duration = span.End(ev.spanLabels())
+	ev.Cause = rt.resolveCause(ev.Cause)
+	if k == swapInKind {
+		ev.Replicas = nil // the record read them; the completed swap-in holds none
+	}
+	if rt.telem != nil {
+		rt.telem.RecordSwap(k.op, uint32(ev.Cluster), ev.Cause, ev.Duration.Seconds(), int64(ev.Bytes))
+	}
+	if rt.logger.Enabled(olog.LevelInfo) {
+		fields := []any{"trace", ev.Trace, "cluster", uint32(ev.Cluster)}
+		switch k {
+		case swapOutKind:
+			fields = append(fields, "device", ev.Device, "replicas", len(ev.Replicas), "key", ev.Key,
+				"format", ev.Format, "objects", ev.Objects, "bytes", ev.Bytes, "dur", ev.Duration)
+		case swapInKind:
+			fields = append(fields, "device", ev.Device, "key", ev.Key, "objects", ev.Objects,
+				"bytes", ev.Bytes, "dur", ev.Duration)
+		case repairKind:
+			fields = append(fields, "replicas", strings.Join(ev.Replicas, ","),
+				"pruned", strings.Join(ev.Attempted, ","))
+		}
+		rt.logger.Info(k.done, append(fields, extra...)...)
+	}
+	rt.emit(k.topic, *ev)
+	return *ev, nil
+}
+
+// spanLabels are the flight-recorder labels of the span timing ev's swap.
+func (ev *SwapEvent) spanLabels() obs.Labels {
+	return obs.Labels{Trace: ev.Trace, Device: ev.Device, Cluster: uint32(ev.Cluster),
+		Key: ev.Key, Replicas: ev.Replicas, Format: ev.Format}
 }
 
 // recordWire folds one codec run into the per-format instruments and returns
@@ -570,8 +628,6 @@ func (rt *Runtime) instrument() {
 	rt.tracer.SetRecorder(rt.recorder)
 	rt.swapErrors = r.CounterVec("objectswap_swap_errors_total",
 		"Failed swap operations by operation.", "op")
-	rt.coreEvents = r.CounterVec("objectswap_core_events_total",
-		"Middleware events published by the swapping runtime, by topic.", "topic")
 	rt.wireBytes = r.CounterVec("objectswap_wire_bytes_total",
 		"Payload bytes produced (encode) or consumed (decode), by wire format.",
 		"format", "op")
@@ -682,9 +738,8 @@ func (rt *Runtime) SetEvictor(evict func(need int64) error) { rt.evictor = evict
 // SetFaultHandler installs the incremental-replication fault handler.
 func (rt *Runtime) SetFaultHandler(fh FaultHandler) { rt.faultHandler = fh }
 
-// emit publishes an event when a bus is attached, counting it either way.
+// emit publishes an event when a bus is attached.
 func (rt *Runtime) emit(topic event.Topic, payload any) {
-	rt.coreEvents.With(string(topic)).Inc()
 	if rt.bus != nil {
 		rt.bus.Emit(topic, payload)
 	}

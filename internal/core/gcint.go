@@ -220,7 +220,7 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	}
 	m.mu.Unlock()
 	now := m.clock.Add(1)
-	unlock := m.lockPair(dst, src)
+	pair := m.lockPair(dst, src)
 	if cs, ok := m.tab(dst).clusters[dst]; ok {
 		cs.crossings++
 		cs.lastAccess = now
@@ -229,7 +229,7 @@ func (m *Manager) enterCrossing(src ClusterID, ultimate heap.ObjID) (dst Cluster
 	if cs, ok := m.tab(src).clusters[src]; ok {
 		cs.lastAccess = now
 	}
-	unlock()
+	pair.unlock()
 	// Heat tracking mirrors the recency feed; touches go out after the
 	// table locks are released (Touch is leaf-safe, but there is no reason
 	// to extend the critical section for it).

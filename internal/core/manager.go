@@ -218,25 +218,32 @@ func (m *Manager) tab(id ClusterID) *tableShard {
 	return m.tabs[shardIndexFor(id, len(m.tabs))]
 }
 
+// shardPair is the table shards of two clusters as lockPair locked them:
+// lo before hi in ascending index order, one shard when both share it.
+type shardPair struct{ lo, hi *tableShard }
+
 // lockPair locks the table shards of two clusters in ascending index order
-// (a single acquisition when they share one) and returns the unlock func.
-func (m *Manager) lockPair(a, b ClusterID) func() {
+// (a single acquisition when they share one); release them with unlock.
+func (m *Manager) lockPair(a, b ClusterID) shardPair {
 	ia := shardIndexFor(a, len(m.tabs))
 	ib := shardIndexFor(b, len(m.tabs))
-	if ia == ib {
-		ts := m.tabs[ia]
-		ts.mu.Lock()
-		return ts.mu.Unlock
-	}
 	if ia > ib {
 		ia, ib = ib, ia
 	}
-	m.tabs[ia].mu.Lock()
-	m.tabs[ib].mu.Lock()
-	return func() {
-		m.tabs[ib].mu.Unlock()
-		m.tabs[ia].mu.Unlock()
+	p := shardPair{lo: m.tabs[ia], hi: m.tabs[ib]}
+	p.lo.mu.Lock()
+	if p.hi != p.lo {
+		p.hi.mu.Lock()
 	}
+	return p
+}
+
+// unlock releases the pair in reverse acquisition order.
+func (p shardPair) unlock() {
+	if p.hi != p.lo {
+		p.hi.mu.Unlock()
+	}
+	p.lo.mu.Unlock()
 }
 
 // lockTabs locks every table shard in ascending index order, for whole-table

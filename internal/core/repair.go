@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"objectswap/internal/event"
 	"objectswap/internal/heap"
 	"objectswap/internal/obs"
 	"objectswap/internal/placement"
@@ -112,7 +111,7 @@ func (rt *Runtime) liveReplicaTotals() (live, swapped int) {
 //
 // The cluster is reserved (busy) for the duration, exactly like a swap, so
 // repair never races a concurrent SwapIn/SwapOut or the sweep.
-func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev SwapEvent, retErr error) {
+func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (SwapEvent, error) {
 	if k <= 0 {
 		k = rt.Replicas()
 	}
@@ -122,21 +121,17 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	if rt.placer == nil {
 		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, ErrNoPlacement)
 	}
-	trace := rt.newTrace()
-	ctx = obs.ContextWithTrace(ctx, trace)
-	span := rt.tracer.Start("swap_repair")
-	span.SetTrace(trace)
-	span.SetCluster(uint32(id))
-	defer func() {
-		if retErr != nil {
-			span.Fail(retErr)
-			if !errors.Is(retErr, ErrNoRepair) {
-				rt.swapErrors.With("repair").Inc()
-				rt.logger.Warn("repair failed",
-					"trace", trace, "cluster", uint32(id), "err", retErr)
-			}
-		}
-	}()
+	ev := SwapEvent{Cluster: id, Trace: rt.newTrace(), Cause: CauseRepair}
+	span := rt.tracer.Start(repairKind.op)
+	shipped, err := rt.repair(obs.ContextWithTrace(ctx, ev.Trace), k, span, &ev)
+	return rt.finishSwap(repairKind, span, &ev, err, "shipped", strings.Join(shipped, ","))
+}
+
+// repair runs the phases of RepairCluster, filling ev as they learn the key,
+// the serving replica, the format and the new replica set. It returns the
+// donors that received fresh copies.
+func (rt *Runtime) repair(ctx context.Context, k int, span *obs.Span, ev *SwapEvent) ([]string, error) {
+	id := ev.Cluster
 
 	// Reserve the cluster, like any swap transition.
 	span.Phase("reserve")
@@ -156,7 +151,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	if err != nil {
 		ts.mu.Unlock()
 		sh.mu.Unlock()
-		return SwapEvent{}, err
+		return nil, err
 	}
 	cs.busy = true
 	devices := append([]string(nil), cs.devices...)
@@ -188,7 +183,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 		}
 	}
 	if len(live) == 0 {
-		return SwapEvent{}, fmt.Errorf("core: repair cluster %d (replicas %s): %w",
+		return nil, fmt.Errorf("core: repair cluster %d (replicas %s): %w",
 			id, strings.Join(devices, ","), ErrNoLiveReplica)
 	}
 
@@ -201,7 +196,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	// minorities, and ties keep the primary-order copy a plain fetch would
 	// have served.
 	span.Phase("fetch")
-	span.SetKey(key)
+	ev.Key = key
 	type replicaCopy struct {
 		device string
 		store  store.Store
@@ -236,7 +231,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 				}
 			}
 			rt.logger.Warn("repair: replica payloads diverge; majority checksum wins",
-				"trace", trace, "cluster", uint32(id), "groups", len(counts))
+				"trace", ev.Trace, "cluster", uint32(id), "groups", len(counts))
 		}
 	}
 	var (
@@ -249,7 +244,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 	for _, c := range copies {
 		if wantCRC != 0 && c.sum != wantCRC {
 			rt.logger.Warn("repair: replica payload corrupt at rest",
-				"trace", trace, "cluster", uint32(id), "device", c.device)
+				"trace", ev.Trace, "cluster", uint32(id), "device", c.device)
 			corrupt = append(corrupt, c.device)
 			continue
 		}
@@ -265,7 +260,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 		if err == nil {
 			err = ErrNoLiveReplica
 		}
-		return SwapEvent{}, fmt.Errorf("core: repair cluster %d: fetch: %w", id, err)
+		return nil, fmt.Errorf("core: repair cluster %d: fetch: %w", id, err)
 	}
 	if len(corrupt) > 0 {
 		// Demote convicted copies: their donors are reachable but their
@@ -285,10 +280,9 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 		dead = append(dead, corrupt...)
 	}
 	if len(live) >= k && len(dead) == 0 {
-		return SwapEvent{}, ErrNoRepair
+		return nil, ErrNoRepair
 	}
-	span.SetDevice(serving)
-	span.SetFormat(popts.Format)
+	ev.Device, ev.Format, ev.Bytes = serving, popts.Format, len(data)
 	span.AddBytes(int64(len(data)))
 
 	// Ship fresh copies in the fetched format — the planner skips donors that
@@ -304,7 +298,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 		if serr != nil && len(dead) == 0 {
 			// Nothing shipped and nothing to prune: the repair achieved
 			// nothing, report it.
-			return SwapEvent{}, fmt.Errorf("core: repair cluster %d: %w", id, serr)
+			return nil, fmt.Errorf("core: repair cluster %d: %w", id, serr)
 		}
 		fresh = rep.Replicas
 	}
@@ -327,7 +321,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 			}
 			if cerr != nil {
 				rt.logger.Warn("repair: base copy failed; dropping orphan delta",
-					"trace", trace, "cluster", uint32(id), "device", d, "err", cerr)
+					"trace", ev.Trace, "cluster", uint32(id), "device", d, "err", cerr)
 				if derr := rt.dropFromDevice(d, key); derr != nil {
 					rt.mgr.deferDrop(d, key, id)
 				}
@@ -341,7 +335,7 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 			if berr == nil {
 				berr = errors.New("no fresh donor accepted the base payload")
 			}
-			return SwapEvent{}, fmt.Errorf("core: repair cluster %d: base copy: %w", id, berr)
+			return nil, fmt.Errorf("core: repair cluster %d: base copy: %w", id, berr)
 		}
 	}
 	newSet := append(append([]string(nil), live...), fresh...)
@@ -385,15 +379,6 @@ func (rt *Runtime) RepairCluster(ctx context.Context, id ClusterID, k int) (ev S
 		}
 	}
 
-	ev = SwapEvent{Cluster: id, Device: newSet[0], Key: key, Bytes: len(data),
-		Attempted: dead, Replicas: newSet, Trace: trace, Format: popts.Format,
-		Cause: CauseRepair}
-	span.SetReplicas(newSet)
-	ev.Phases, ev.Duration = span.End()
-	rt.recordFault("swap_repair", id, ev.Cause, ev.Duration, len(data))
-	rt.logger.Info("cluster repaired", "trace", trace, "cluster", uint32(id),
-		"replicas", strings.Join(newSet, ","), "pruned", strings.Join(dead, ","),
-		"shipped", strings.Join(fresh, ","))
-	rt.emit(event.TopicSwapRepair, ev)
-	return ev, nil
+	ev.Device, ev.Attempted, ev.Replicas = newSet[0], dead, newSet
+	return fresh, nil
 }

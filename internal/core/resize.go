@@ -36,34 +36,34 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 	// (whose swap-outs and Collect would deadlock on the held shard locks).
 	rt.lockAll()
 	defer rt.unlockAll()
-	endMutate := rt.beginMutate(nil)
+	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr
-	unlock := m.lockPair(dst, src)
+	pair := m.lockPair(dst, src)
 	ds, err := m.tab(dst).state(dst)
 	if err != nil {
-		unlock()
+		pair.unlock()
 		return err
 	}
 	ss, err := m.tab(src).state(src)
 	if err != nil {
-		unlock()
+		pair.unlock()
 		return err
 	}
 	if ds.swapped || ss.swapped {
-		unlock()
+		pair.unlock()
 		return fmt.Errorf("%w: merge requires both clusters resident", ErrClusterSwapped)
 	}
 	if ds.busy || ss.busy {
-		unlock()
+		pair.unlock()
 		return fmt.Errorf("%w: merge of clusters %d/%d", ErrClusterBusy, dst, src)
 	}
 	moved := make(map[heap.ObjID]bool, len(ss.objects))
 	for oid := range ss.objects {
 		moved[oid] = true
 	}
-	unlock()
+	pair.unlock()
 
 	members := make(map[heap.ObjID]bool, len(moved))
 	for oid := range moved {
@@ -84,7 +84,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 
 	// 1. Move membership.
 	m.mu.Lock()
-	unlock = m.lockPair(dst, src)
+	pair = m.lockPair(dst, src)
 	for oid := range moved {
 		info := m.objects[oid]
 		info.cluster = dst
@@ -110,7 +110,7 @@ func (rt *Runtime) MergeClusters(dst, src ClusterID) error {
 		}
 		delete(m.inbound, src)
 	}
-	unlock()
+	pair.unlock()
 	m.mu.Unlock()
 
 	// 2. Re-mediate the fields of every member of the merged cluster:
@@ -138,7 +138,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 	// See MergeClusters: resizing is a stop-the-world graph mutation.
 	rt.lockAll()
 	defer rt.unlockAll()
-	endMutate := rt.beginMutate(nil)
+	endMutate := rt.beginMutate()
 	defer endMutate()
 
 	m := rt.mgr
@@ -174,7 +174,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 
 	fresh := m.NewCluster()
 	m.mu.Lock()
-	unlock := m.lockPair(src, fresh)
+	pair := m.lockPair(src, fresh)
 	fs := m.tab(fresh).clusters[fresh]
 	for _, oid := range members {
 		info := m.objects[oid]
@@ -202,7 +202,7 @@ func (rt *Runtime) SplitCluster(src ClusterID, members []heap.ObjID) (ClusterID,
 			}
 		}
 	}
-	unlock()
+	pair.unlock()
 	m.mu.Unlock()
 
 	// Re-mediate both halves: edges crossing the new boundary gain proxies;

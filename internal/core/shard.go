@@ -39,12 +39,6 @@ type coreShard struct {
 	// instrument time so the hot path skips the label lookup.
 	wait *obs.Histogram
 
-	// mutating mirrors the runtime-wide mutatingCount for this shard: set
-	// while a critical section that may allocate (swap-in install) holds the
-	// shard lock. Per-shard observability; the allocation path checks the
-	// global count.
-	mutating atomic.Bool
-
 	// evictDepth counts eviction-pass victims currently in flight on this
 	// shard; evictStart is the registry-clock time (unix nanos) the shard's
 	// oldest in-flight eviction work started, 0 when idle. Health checks use
@@ -105,19 +99,10 @@ func (rt *Runtime) unlockAll() {
 // locks (swap-in install, resize re-mediation, checkpoint restore). While any
 // such section is open, allocation failures report ErrOutOfMemory instead of
 // re-entering the evictor, whose Collect would deadlock on the very locks the
-// section holds. sh labels the per-shard flag; nil marks a stop-the-world
-// section that holds every shard. The returned func closes the section.
-func (rt *Runtime) beginMutate(sh *coreShard) func() {
-	if sh != nil {
-		sh.mutating.Store(true)
-	}
+// section holds. The returned func closes the section.
+func (rt *Runtime) beginMutate() func() {
 	rt.mutatingCount.Add(1)
-	return func() {
-		rt.mutatingCount.Add(-1)
-		if sh != nil {
-			sh.mutating.Store(false)
-		}
-	}
+	return func() { rt.mutatingCount.Add(-1) }
 }
 
 // beginShardEvict marks eviction work in flight on the victim's shard, for

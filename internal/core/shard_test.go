@@ -208,3 +208,22 @@ func TestConcurrentCollectAndSwapStorm(t *testing.T) {
 		}
 	}
 }
+
+func TestLockPairAllocatesNothing(t *testing.T) {
+	m := NewRuntime(heap.New(0), heap.NewRegistry(), WithShards(4)).Manager()
+	a := ClusterID(1)
+	b := a + 1
+	for shardIndexFor(b, len(m.tabs)) == shardIndexFor(a, len(m.tabs)) {
+		b++
+	}
+	for _, pair := range [][2]ClusterID{{a, b}, {b, a}, {a, a}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m.lockPair(pair[0], pair[1]).unlock()
+		})
+		if allocs != 0 {
+			t.Errorf("lockPair(%d, %d) + unlock allocates %v objects, want 0", pair[0], pair[1], allocs)
+		}
+	}
+	// Both shards are free again: a second acquisition must not block.
+	m.lockPair(a, b).unlock()
+}

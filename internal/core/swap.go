@@ -50,7 +50,7 @@ import (
 // reports ErrClusterBusy.
 //
 // It returns the SwapEvent describing the shipment.
-func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retErr error) {
+func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	o, ctx, cancel := resolveSwapOpts(opts)
 	defer cancel()
 	if id == RootCluster {
@@ -59,19 +59,16 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	trace := rt.newTrace()
-	ctx = obs.ContextWithTrace(ctx, trace)
-	span := rt.tracer.Start("swap_out")
-	span.SetTrace(trace)
-	span.SetCluster(uint32(id))
-	defer func() {
-		if retErr != nil {
-			rt.swapErrors.With("swap_out").Inc()
-			span.Fail(retErr)
-			rt.logger.Warn("swap-out failed",
-				"trace", trace, "cluster", uint32(id), "err", retErr)
-		}
-	}()
+	ev := SwapEvent{Cluster: id, Trace: rt.newTrace(), Cause: o.cause}
+	span := rt.tracer.Start(swapOutKind.op)
+	err := rt.swapOut(obs.ContextWithTrace(ctx, ev.Trace), o, span, &ev)
+	return rt.finishSwap(swapOutKind, span, &ev, err)
+}
+
+// swapOut runs the phases of SwapOut, filling ev as they learn the key, the
+// wire format, the replica set and the shipment's size.
+func (rt *Runtime) swapOut(ctx context.Context, o swapOpts, span *obs.Span, ev *SwapEvent) error {
+	id := ev.Cluster
 
 	// Phase 1 — exclusive on this cluster's shard: validate the cluster and
 	// reserve it (busy) so no concurrent swap, victim selection or sweep
@@ -82,7 +79,7 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	memberIDs, members, base, dirty, err := rt.beginSwapOut(id)
 	sh.mu.Unlock()
 	if err != nil {
-		return SwapEvent{}, err
+		return err
 	}
 	committed := false
 	defer func() {
@@ -102,7 +99,7 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	for _, oid := range memberIDs {
 		o, err := rt.h.Get(oid)
 		if err != nil {
-			return SwapEvent{}, fmt.Errorf("core: swap-out cluster %d: member @%d: %w", id, oid, err)
+			return fmt.Errorf("core: swap-out cluster %d: member @%d: %w", id, oid, err)
 		}
 		objs = append(objs, o)
 		residentBytes += o.Size()
@@ -158,7 +155,7 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 			})
 		}
 		if werr != nil {
-			return SwapEvent{}, werr
+			return werr
 		}
 	}
 
@@ -169,14 +166,14 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	// is anchored and cheap enough.
 	span.Phase("negotiate")
 	key := rt.nextKey(id)
-	span.SetKey(key)
+	ev.Key = key
 	k := o.replicas
 	if k < 1 {
 		k = rt.Replicas()
 	}
 	plan, err := rt.negotiate(ctx, o, key, k, base, dirty, memberIDs)
 	if err != nil {
-		return SwapEvent{}, fmt.Errorf("core: swap-out cluster %d: %w", id, err)
+		return fmt.Errorf("core: swap-out cluster %d: %w", id, err)
 	}
 	if plan.delta {
 		// A delta's slot table must keep the base table as a prefix: slot
@@ -263,11 +260,10 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	}
 	payload, err := encode(plan)
 	if err != nil {
-		return SwapEvent{}, err
+		return err
 	}
-	payloadBytes := len(payload)
-	span.SetFormat(string(plan.format))
-	span.AddBytes(int64(payloadBytes))
+	ev.Format = string(plan.format)
+	span.AddBytes(int64(len(payload)))
 
 	// Phase 3 — shipment, with a brief exclusive window to build the
 	// replacement-object. The replacement is pinned the moment it exists
@@ -281,7 +277,7 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	// (failover may move it).
 	span.Phase("ship")
 	rt.lockShard(sh)
-	endMutate := rt.beginMutate(sh)
+	endMutate := rt.beginMutate()
 	repl, err := rt.allocMiddleware(rt.replacementClass)
 	if err == nil {
 		rt.h.Pin(repl.ID())
@@ -295,7 +291,7 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	endMutate()
 	sh.mu.Unlock()
 	if err != nil {
-		return SwapEvent{}, fmt.Errorf("core: replacement for cluster %d: %w", id, err)
+		return fmt.Errorf("core: replacement for cluster %d: %w", id, err)
 	}
 
 	// Ship first: a failed transfer must leave the graph untouched. The key
@@ -306,35 +302,34 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 	devices, attempted, rep, err := rt.shipPlanned(ctx, o, id, key, payload, plan)
 	if err != nil && plan.delta {
 		rt.logger.Warn("delta shipment failed; renegotiating full",
-			"trace", trace, "cluster", uint32(id), "err", err)
+			"trace", ev.Trace, "cluster", uint32(id), "err", err)
 		plan, err = rt.negotiateFull(ctx, o, key, k)
 		if err == nil {
 			payload, err = encode(plan)
 		}
 		if err == nil {
-			payloadBytes = len(payload)
-			span.SetFormat(string(plan.format))
+			ev.Format = string(plan.format)
 			span.AddBytes(int64(len(payload)))
 			devices, attempted, rep, err = rt.shipPlanned(ctx, o, id, key, payload, plan)
 		}
 	}
 	if err != nil {
 		_ = rt.h.Remove(repl.ID())
-		return SwapEvent{}, err
+		return err
 	}
-	span.SetDevice(devices[0])
-	span.SetReplicas(devices)
-	span.AddBytes(int64(payloadBytes))
+	ev.Device, ev.Replicas, ev.Attempted = devices[0], devices, attempted
+	ev.Bytes = len(payload)
+	span.AddBytes(int64(ev.Bytes))
 
 	// Phase 4 — exclusive on this cluster's shard: detach the cluster from
 	// the application graph. Commits on sibling shards proceed concurrently.
 	span.Phase("commit")
 	rt.lockShard(sh)
-	oldBase, err := rt.commitSwapOut(id, repl, devices, key, payloadBytes,
+	oldBase, err := rt.commitSwapOut(id, repl, devices, key, ev.Bytes,
 		crc32.ChecksumIEEE(payload), residentBytes, plan, memberIDs, slotTargets)
 	sh.mu.Unlock()
 	if err != nil {
-		return SwapEvent{}, err
+		return err
 	}
 	committed = true
 
@@ -349,25 +344,14 @@ func (rt *Runtime) SwapOut(id ClusterID, opts ...SwapOption) (ev SwapEvent, retE
 		}
 	}
 
-	shortfall := rep.Requested - len(devices)
-	if shortfall < 0 {
-		shortfall = 0
-	}
-	ev = SwapEvent{Cluster: id, Device: devices[0], Key: key, Objects: len(objs),
-		Bytes: payloadBytes, Attempted: attempted, Replicas: devices, Trace: trace,
-		Format: string(plan.format), Requested: rep.Requested, Quorum: rep.Quorum,
-		Shortfall: shortfall, Cause: rt.resolveCause(o.cause)}
-	ev.Phases, ev.Duration = span.End()
-	rt.recordFault("swap_out", id, ev.Cause, ev.Duration, payloadBytes)
 	// A prefetched cluster evicted before any touch was a wasted round trip;
 	// let the fault engine settle its inventory accounting.
 	rt.faults.NoteEvicted(uint32(id))
-	rt.logger.Info("swap-out", "trace", trace, "cluster", uint32(id),
-		"device", devices[0], "replicas", len(devices), "key", key,
-		"format", string(plan.format), "objects", len(objs),
-		"bytes", payloadBytes, "dur", ev.Duration)
-	rt.emit(event.TopicSwapOut, ev)
-	return ev, nil
+
+	ev.Objects = len(objs)
+	ev.Requested, ev.Quorum = rep.Requested, rep.Quorum
+	ev.Shortfall = max(rep.Requested-len(devices), 0)
+	return nil
 }
 
 // beginSwapOut validates and reserves a cluster for swap-out, additionally
@@ -577,25 +561,32 @@ func (rt *Runtime) checkInactive(id ClusterID, members map[heap.ObjID]bool) erro
 // glue) wraps it in the fault engine's single-flight table so concurrent
 // faults on the same cluster park on one fetch; everything below runs once
 // per flight, on the leader's goroutine.
-func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent, retErr error) {
+func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (SwapEvent, error) {
 	o, ctx, cancel := resolveSwapOpts(opts)
 	defer cancel()
 	if rt.stores == nil {
 		return SwapEvent{}, ErrNoStores
 	}
-	trace := rt.newTrace()
-	ctx = obs.ContextWithTrace(ctx, trace)
-	span := rt.tracer.Start("swap_in")
-	span.SetTrace(trace)
-	span.SetCluster(uint32(id))
-	defer func() {
-		if retErr != nil {
-			rt.swapErrors.With("swap_in").Inc()
-			span.Fail(retErr)
-			rt.logger.Warn("swap-in failed",
-				"trace", trace, "cluster", uint32(id), "err", retErr)
-		}
-	}()
+	ev := SwapEvent{Cluster: id, Trace: rt.newTrace(), Cause: o.cause}
+	span := rt.tracer.Start(swapInKind.op)
+	err := rt.swapIn(obs.ContextWithTrace(ctx, ev.Trace), span, &ev)
+	out, err := rt.finishSwap(swapInKind, span, &ev, err)
+	// A dead replica here means the donor likely lost everything it held:
+	// announce it so the repair loop re-replicates the rest.
+	if err == nil && len(out.Attempted) > 0 {
+		rt.emit(event.TopicReadRepair, SwapEvent{
+			Cluster: id, Device: out.Attempted[0], Key: out.Key,
+			Attempted: out.Attempted, Trace: out.Trace,
+		})
+	}
+	return out, err
+}
+
+// swapIn runs the phases of swapInDirect, filling ev as they learn the key,
+// the replica set, the serving donor, the wire format and the payload size.
+// While the swap is in flight ev.Replicas holds the replicas it reads from.
+func (rt *Runtime) swapIn(ctx context.Context, span *obs.Span, ev *SwapEvent) error {
+	id := ev.Cluster
 
 	// Phase 1 — exclusive on this cluster's shard: validate and reserve.
 	span.Phase("reserve")
@@ -607,17 +598,17 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	if err != nil {
 		ts.mu.Unlock()
 		sh.mu.Unlock()
-		return SwapEvent{}, err
+		return err
 	}
 	if cs.busy {
 		ts.mu.Unlock()
 		sh.mu.Unlock()
-		return SwapEvent{}, fmt.Errorf("%w: cluster %d", ErrClusterBusy, id)
+		return fmt.Errorf("%w: cluster %d", ErrClusterBusy, id)
 	}
 	if !cs.swapped {
 		ts.mu.Unlock()
 		sh.mu.Unlock()
-		return SwapEvent{}, fmt.Errorf("%w: cluster %d", ErrClusterLoaded, id)
+		return fmt.Errorf("%w: cluster %d", ErrClusterLoaded, id)
 	}
 	cs.busy = true
 	devices := append([]string(nil), cs.devices...)
@@ -637,7 +628,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 
 	repl, err := rt.h.Get(replID)
 	if err != nil {
-		return SwapEvent{}, fmt.Errorf("core: cluster %d replacement gone (cluster is garbage): %w", id, err)
+		return fmt.Errorf("core: cluster %d replacement gone (cluster is garbage): %w", id, err)
 	}
 	// Keep the replacement alive across any eviction below.
 	rt.h.Pin(replID)
@@ -647,8 +638,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	// byte-identical, so read them in preference order and fall through on
 	// error — a dead primary costs one failed request, not the reload.
 	span.Phase("fetch")
-	span.SetKey(key)
-	span.SetReplicas(devices)
+	ev.Key, ev.Replicas = key, devices
 	var (
 		data    []byte
 		device  string
@@ -677,7 +667,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		}
 		failed = append(failed, d)
 		lastErr = err
-		rt.logger.Warn("swap-in replica failed", "trace", trace,
+		rt.logger.Warn("swap-in replica failed", "trace", ev.Trace,
 			"cluster", uint32(id), "device", d, "err", err)
 		if ctx.Err() != nil {
 			break
@@ -687,10 +677,10 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		if lastErr == nil {
 			lastErr = ErrNoLiveReplica
 		}
-		return SwapEvent{}, fmt.Errorf("core: fetch cluster %d (replicas %s): %w",
+		return fmt.Errorf("core: fetch cluster %d (replicas %s): %w",
 			id, strings.Join(devices, ","), lastErr)
 	}
-	span.SetDevice(device)
+	ev.Device, ev.Attempted = device, failed
 	span.AddBytes(int64(len(data)))
 
 	// Decode whatever format the shipment self-describes as. A delta fetches
@@ -714,12 +704,12 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		Codecs: rt.classCodecs,
 	})
 	if err != nil {
-		return SwapEvent{}, fmt.Errorf("core: unwrap cluster %d: %w", id, err)
+		return fmt.Errorf("core: unwrap cluster %d: %w", id, err)
 	}
 	rt.recordWire(fid, "decode", len(data), rt.obsReg.Clock().Now().Sub(decodeStart))
-	span.SetFormat(string(fid))
+	ev.Format = string(fid)
 	if doc.ClusterID != key {
-		return SwapEvent{}, fmt.Errorf("core: cluster %d: device returned wrong shipment %q", id, doc.ClusterID)
+		return fmt.Errorf("core: cluster %d: device returned wrong shipment %q", id, doc.ClusterID)
 	}
 
 	// Make room before installing, if we can tell it is needed. Demand a
@@ -732,7 +722,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		appLimit := cap - rt.h.Reserve()
 		if free := appLimit - rt.h.Used(); free < needBytes+reloadSlack {
 			if err := rt.runEvictor(needBytes + reloadSlack - free); err != nil {
-				return SwapEvent{}, fmt.Errorf("core: make room for cluster %d: %w", id, err)
+				return fmt.Errorf("core: make room for cluster %d: %w", id, err)
 			}
 		}
 	}
@@ -744,12 +734,12 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 	// acquisition cannot slip in while this shard lock is held.
 	span.Phase("install")
 	rt.lockShard(sh)
-	endMutate := rt.beginMutate(sh)
-	installed, payload, err := rt.commitSwapIn(id, cs, repl, doc, fid, devices, crc32.ChecksumIEEE(data))
+	endMutate := rt.beginMutate()
+	ev.Objects, ev.Bytes, err = rt.commitSwapIn(id, cs, repl, doc, fid, devices, crc32.ChecksumIEEE(data))
 	endMutate()
 	sh.mu.Unlock()
 	if err != nil {
-		return SwapEvent{}, err
+		return err
 	}
 	committed = true
 
@@ -780,24 +770,7 @@ func (rt *Runtime) swapInDirect(id ClusterID, opts ...SwapOption) (ev SwapEvent,
 		}
 	}
 
-	ev = SwapEvent{Cluster: id, Device: device, Key: key, Objects: installed,
-		Bytes: payload, Attempted: failed, Trace: trace, Format: string(fid),
-		Cause: rt.resolveCause(o.cause)}
-	ev.Phases, ev.Duration = span.End()
-	rt.recordFault("swap_in", id, ev.Cause, ev.Duration, payload)
-	rt.logger.Info("swap-in", "trace", trace, "cluster", uint32(id),
-		"device", device, "key", key, "objects", installed,
-		"bytes", payload, "dur", ev.Duration)
-	rt.emit(event.TopicSwapIn, ev)
-	// A dead replica here means the donor likely lost everything it held:
-	// announce it so the repair loop re-replicates the rest.
-	if len(failed) > 0 {
-		rt.emit(event.TopicReadRepair, SwapEvent{
-			Cluster: id, Device: failed[0], Key: key,
-			Attempted: failed, Trace: trace,
-		})
-	}
-	return ev, nil
+	return nil
 }
 
 // commitSwapIn reinstalls a fetched cluster and flips its record to loaded.

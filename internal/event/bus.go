@@ -14,8 +14,8 @@ package event
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"objectswap/internal/obs"
@@ -97,22 +97,29 @@ type Handler func(Event)
 
 // Bus is a synchronous publish/subscribe broker. The zero value is not usable;
 // construct with NewBus.
+//
+// Each topic keeps its handlers in an immutable slice, in subscription order:
+// Subscribe and Cancel replace the slice, so Publish reads it under a brief
+// read lock and delivers without sorting, copying or allocating.
 type Bus struct {
 	clock obs.Clock
 
 	mu     sync.RWMutex
 	nextID int
-	seq    uint64
-	subs   map[Topic]map[int]Handler
-	// history counts deliveries per topic, for tests and introspection.
-	delivered map[Topic]int
-	panics    map[Topic]int
+	subs   map[Topic][]subscriber
+	seq    atomic.Uint64
 
 	// obs instruments (nil when the bus is not instrumented).
 	published   *obs.CounterVec
-	deliveredC  *obs.CounterVec
+	delivered   *obs.CounterVec
 	panicsTotal *obs.Counter
 	recorder    *obs.Recorder
+}
+
+// subscriber is one registered handler and its subscription id.
+type subscriber struct {
+	id int
+	h  Handler
 }
 
 // Option configures a Bus.
@@ -136,7 +143,7 @@ func WithRegistry(r *obs.Registry) Option {
 		}
 		b.published = r.CounterVec("objectswap_bus_published_total",
 			"Events published per topic.", "topic")
-		b.deliveredC = r.CounterVec("objectswap_bus_delivered_total",
+		b.delivered = r.CounterVec("objectswap_bus_delivered_total",
 			"Handler invocations per topic.", "topic")
 		b.panicsTotal = r.Counter("objectswap_bus_subscriber_panics_total",
 			"Subscriber panics recovered by the bus.")
@@ -144,7 +151,8 @@ func WithRegistry(r *obs.Registry) Option {
 }
 
 // WithFlightRecorder retains every publication in rec (topic, bus sequence,
-// timestamp and a bounded payload rendering) for post-incident look-back.
+// timestamp and the payload, rendered when the recorder is read) for
+// post-incident look-back.
 func WithFlightRecorder(rec *obs.Recorder) Option {
 	return func(b *Bus) { b.recorder = rec }
 }
@@ -153,10 +161,8 @@ func WithFlightRecorder(rec *obs.Recorder) Option {
 // real clock and registers no metrics.
 func NewBus(opts ...Option) *Bus {
 	b := &Bus{
-		clock:     obs.RealClock{},
-		subs:      make(map[Topic]map[int]Handler),
-		delivered: make(map[Topic]int),
-		panics:    make(map[Topic]int),
+		clock: obs.RealClock{},
+		subs:  make(map[Topic][]subscriber),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -181,12 +187,10 @@ func (b *Bus) Subscribe(topic Topic, h Handler) *Subscription {
 	defer b.mu.Unlock()
 	b.nextID++
 	id := b.nextID
-	m := b.subs[topic]
-	if m == nil {
-		m = make(map[int]Handler)
-		b.subs[topic] = m
-	}
-	m[id] = h
+	old := b.subs[topic]
+	subs := make([]subscriber, len(old), len(old)+1)
+	copy(subs, old)
+	b.subs[topic] = append(subs, subscriber{id: id, h: h})
 	return &Subscription{bus: b, topic: topic, id: id}
 }
 
@@ -195,13 +199,20 @@ func (s *Subscription) Cancel() {
 	if s == nil || s.bus == nil {
 		return
 	}
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	if m := s.bus.subs[s.topic]; m != nil {
-		delete(m, s.id)
-		if len(m) == 0 {
-			delete(s.bus.subs, s.topic)
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	old := b.subs[s.topic]
+	subs := make([]subscriber, 0, len(old))
+	for _, sub := range old {
+		if sub.id != s.id {
+			subs = append(subs, sub)
 		}
+	}
+	if len(subs) == 0 {
+		delete(b.subs, s.topic)
+	} else {
+		b.subs[s.topic] = subs
 	}
 	s.bus = nil
 }
@@ -211,94 +222,44 @@ func (s *Subscription) Cancel() {
 // panicking handler is recovered and counted so that one misbehaving
 // subscriber cannot kill the publisher mid-swap; remaining handlers still
 // run. It returns the number of handlers invoked.
+//
+// The flight recorder retains ev.Payload by reference and renders it only
+// when read, so a publisher must not mutate a payload (or anything it points
+// to) after publishing it.
 func (b *Bus) Publish(ev Event) int {
 	ev.At = b.clock.Now()
-
-	b.mu.Lock()
-	b.seq++
-	ev.Seq = b.seq
-	m := b.subs[ev.Topic]
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	handlers := make([]Handler, 0, len(ids))
-	for _, id := range ids {
-		handlers = append(handlers, m[id])
-	}
-	b.mu.Unlock()
+	ev.Seq = b.seq.Add(1)
+	b.mu.RLock()
+	subs := b.subs[ev.Topic]
+	b.mu.RUnlock()
 
 	b.published.With(string(ev.Topic)).Inc()
 	b.recorder.RecordEvent(obs.EventRecord{
-		BusSeq: ev.Seq,
-		Topic:  string(ev.Topic),
-		At:     ev.At,
-		Detail: renderPayload(ev.Payload),
+		BusSeq:  ev.Seq,
+		Topic:   string(ev.Topic),
+		At:      ev.At,
+		Payload: ev.Payload,
 	})
-	recovered := 0
-	for _, h := range handlers {
-		if b.invoke(h, ev) {
-			recovered++
-		}
+	for _, sub := range subs {
+		b.invoke(sub.h, ev)
 	}
-	b.deliveredC.With(string(ev.Topic)).Add(float64(len(handlers)))
-
-	b.mu.Lock()
-	b.delivered[ev.Topic] += len(handlers)
-	if recovered > 0 {
-		b.panics[ev.Topic] += recovered
-	}
-	b.mu.Unlock()
-	return len(handlers)
+	b.delivered.With(string(ev.Topic)).Add(float64(len(subs)))
+	return len(subs)
 }
 
-// invoke runs one handler, recovering a panic. It reports whether the handler
-// panicked.
-func (b *Bus) invoke(h Handler, ev Event) (panicked bool) {
+// invoke runs one handler, recovering and counting a panic.
+func (b *Bus) invoke(h Handler, ev Event) {
 	defer func() {
 		if r := recover(); r != nil {
-			panicked = true
 			b.panicsTotal.Inc()
 		}
 	}()
 	h(ev)
-	return false
-}
-
-// payloadDetailMax bounds the flight-recorder rendering of a payload.
-const payloadDetailMax = 160
-
-// renderPayload flattens a payload for flight-recorder retention, truncated
-// to payloadDetailMax bytes.
-func renderPayload(p any) string {
-	if p == nil {
-		return ""
-	}
-	s := fmt.Sprintf("%+v", p)
-	if len(s) > payloadDetailMax {
-		s = s[:payloadDetailMax] + "..."
-	}
-	return s
 }
 
 // Emit is shorthand for Publish(Event{Topic: t, Payload: payload}).
 func (b *Bus) Emit(t Topic, payload any) int {
 	return b.Publish(Event{Topic: t, Payload: payload})
-}
-
-// Panics reports how many subscriber panics have been recovered for topic.
-func (b *Bus) Panics(topic Topic) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.panics[topic]
-}
-
-// Delivered reports how many handler invocations have occurred for topic.
-func (b *Bus) Delivered(topic Topic) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.delivered[topic]
 }
 
 // Subscribers reports the number of active subscriptions for topic.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -66,8 +67,28 @@ type EventRecord struct {
 	Topic string `json:"topic"`
 	// At is the publication time stamped by the bus clock.
 	At time.Time `json:"at"`
-	// Detail is a bounded rendering of the payload.
+	// Detail is a bounded rendering of the payload: Payload's %+v form,
+	// truncated at detailMax bytes. Events renders it from Payload when the
+	// publisher left it empty, so publishing pays no formatting.
 	Detail string `json:"detail,omitempty"`
+	// Payload is the published value, retained by reference until the ring
+	// overwrites it.
+	Payload any `json:"-"`
+}
+
+// detailMax bounds the rendering of a retained event payload.
+const detailMax = 160
+
+// renderDetail flattens a payload for EventRecord.Detail.
+func renderDetail(p any) string {
+	if p == nil {
+		return ""
+	}
+	s := fmt.Sprintf("%+v", p)
+	if len(s) > detailMax {
+		s = s[:detailMax] + "..."
+	}
+	return s
 }
 
 // Recorder is the middleware's flight recorder: two bounded ring buffers
@@ -77,7 +98,8 @@ type EventRecord struct {
 //
 // Appends are constant-time under one short mutex hold (no allocation once
 // the rings are warm), cheap enough to sit on every swap and every bus
-// publication. A nil Recorder is valid and records nothing.
+// publication: event payloads are kept as published and rendered only when
+// read. A nil Recorder is valid and records nothing.
 type Recorder struct {
 	mu  sync.Mutex
 	seq uint64
@@ -170,17 +192,23 @@ func (r *Recorder) Spans() []SpanRecord {
 	return out
 }
 
-// Events copies the retained bus events, most recent first.
+// Events copies the retained bus events, most recent first, rendering each
+// Detail from its payload.
 func (r *Recorder) Events() []EventRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]EventRecord, 0, r.eventLen)
 	for i := 0; i < r.eventLen; i++ {
 		idx := (r.eventPos - 1 - i + len(r.events)) % len(r.events)
 		out = append(out, r.events[idx])
+	}
+	r.mu.Unlock()
+	for i := range out {
+		if out[i].Detail == "" {
+			out[i].Detail = renderDetail(out[i].Payload)
+		}
 	}
 	return out
 }

@@ -156,16 +156,13 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	tr.SetRecorder(rec)
 
 	sp := tr.Start("swap_out")
-	sp.SetTrace("dev9-00000001")
-	sp.SetCluster(5)
 	sp.Phase("encode")
 	clock.Advance(3 * time.Millisecond)
 	sp.AddBytes(1024)
 	sp.Phase("ship")
 	clock.Advance(7 * time.Millisecond)
-	sp.SetDevice("neighbor")
-	sp.SetKey("k1")
-	sp.End()
+	sp.End(Labels{Trace: "dev9-00000001", Cluster: 5, Device: "neighbor", Key: "k1",
+		Replicas: []string{"neighbor"}})
 
 	spans := rec.Spans()
 	if len(spans) != 1 {
@@ -173,7 +170,8 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	}
 	s := spans[0]
 	if s.Op != "swap_out" || s.Trace != "dev9-00000001" || s.Cluster != 5 ||
-		s.Device != "neighbor" || s.Key != "k1" || s.Outcome != "ok" {
+		s.Device != "neighbor" || s.Key != "k1" || s.Outcome != "ok" ||
+		len(s.Replicas) != 1 || s.Replicas[0] != "neighbor" {
 		t.Fatalf("span labels wrong: %+v", s)
 	}
 	if s.DurationNS != (10 * time.Millisecond).Nanoseconds() {
@@ -190,13 +188,49 @@ func TestSpanRecordsIntoRecorder(t *testing.T) {
 	sp2 := tr.Start("swap_out")
 	sp2.Phase("encode")
 	clock.Advance(time.Millisecond)
-	sp2.Fail(errors.New("device gone"))
+	sp2.Fail(Labels{Cluster: 6, Key: "k2"}, errors.New("device gone"))
 	after, _ := reg.Value("objectswap_swap_spans_total", "swap_out")
 	if after != before {
 		t.Fatalf("failed span counted as completed: %v -> %v", before, after)
 	}
 	errsRetained := rec.RecentErrors(0)
-	if len(errsRetained) != 1 || errsRetained[0].Error != "device gone" {
+	if len(errsRetained) != 1 || errsRetained[0].Error != "device gone" ||
+		errsRetained[0].Cluster != 6 || errsRetained[0].Key != "k2" {
 		t.Fatalf("RecentErrors = %+v", errsRetained)
+	}
+}
+
+func TestRecorderRendersPayloadOnRead(t *testing.T) {
+	type payload struct {
+		Cluster int
+		Note    string
+	}
+	r := NewRecorder(4, 4)
+	long := payload{Cluster: 3, Note: string(bytes.Repeat([]byte("x"), 200))}
+	r.RecordEvent(EventRecord{Topic: "swap.out", Payload: payload{Cluster: 3, Note: "ok"}})
+	r.RecordEvent(EventRecord{Topic: "swap.out", Payload: long})
+	r.RecordEvent(EventRecord{Topic: "link.up"})
+
+	events := r.Events()
+	if events[0].Detail != "" {
+		t.Fatalf("nil payload rendered %q", events[0].Detail)
+	}
+	if want := fmt.Sprintf("%+v", long)[:detailMax] + "..."; events[1].Detail != want {
+		t.Fatalf("long payload Detail = %q, want %q", events[1].Detail, want)
+	}
+	if events[2].Detail != "{Cluster:3 Note:ok}" {
+		t.Fatalf("Detail = %q", events[2].Detail)
+	}
+
+	var buf bytes.Buffer
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump FlightDump
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	if dump.Events[2].Detail != "{Cluster:3 Note:ok}" || dump.Events[2].Payload != nil {
+		t.Fatalf("exported event = %+v", dump.Events[2])
 	}
 }

@@ -81,7 +81,7 @@ func TestSpanPhasesOnVirtualClock(t *testing.T) {
 	sp.Phase("ship")
 	clk.Advance(30 * time.Millisecond)
 	sp.AddBytes(2048)
-	phases, total := sp.End()
+	phases, total := sp.End(Labels{})
 
 	if total != 40*time.Millisecond {
 		t.Fatalf("total = %v", total)
@@ -112,7 +112,7 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	sp := tr.Start("x")
 	sp.Phase("p")
 	sp.AddBytes(1)
-	if phases, total := sp.End(); phases != nil || total != 0 {
+	if phases, total := sp.End(Labels{}); phases != nil || total != 0 {
 		t.Fatal("nil span recorded something")
 	}
 }

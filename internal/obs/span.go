@@ -50,8 +50,10 @@ func NewTracer(r *Registry, prefix string) *Tracer {
 	}
 }
 
-// Span is one in-flight traced operation. Phases are sequential: starting a
-// phase closes the previous one. A nil Span is valid and records nothing.
+// Span is one in-flight traced operation. It keeps only timing: phases are
+// sequential, and starting a phase closes the previous one. The correlation
+// labels arrive when the span finishes (End, Fail), from the record of the
+// operation it timed. A nil Span is valid and records nothing.
 type Span struct {
 	t          *Tracer
 	op         string
@@ -59,66 +61,17 @@ type Span struct {
 	phaseStart time.Time
 	open       bool
 	phases     []Phase
-
-	// Correlation labels retained by the flight recorder.
-	trace    string
-	device   string
-	cluster  uint32
-	key      string
-	replicas []string
-	format   string
 }
 
-// SetTrace labels the span with a cross-device trace ID.
-func (s *Span) SetTrace(id string) {
-	if s != nil {
-		s.trace = id
-	}
-}
-
-// Trace returns the span's trace ID ("" on a nil span).
-func (s *Span) Trace() string {
-	if s == nil {
-		return ""
-	}
-	return s.trace
-}
-
-// SetDevice labels the span with the nearby device it talked to.
-func (s *Span) SetDevice(name string) {
-	if s != nil {
-		s.device = name
-	}
-}
-
-// SetCluster labels the span with the swap-cluster it moved.
-func (s *Span) SetCluster(c uint32) {
-	if s != nil {
-		s.cluster = c
-	}
-}
-
-// SetKey labels the span with the storage key it shipped or fetched.
-func (s *Span) SetKey(k string) {
-	if s != nil {
-		s.key = k
-	}
-}
-
-// SetFormat labels the span with the negotiated wire format the payload
-// moved in.
-func (s *Span) SetFormat(format string) {
-	if s != nil {
-		s.format = format
-	}
-}
-
-// SetReplicas labels the span with the replica set holding the shipment
-// (primary first).
-func (s *Span) SetReplicas(devices []string) {
-	if s != nil {
-		s.replicas = append([]string(nil), devices...)
-	}
+// Labels correlate a finished span with the operation it timed; the flight
+// recorder retains them on its SpanRecord.
+type Labels struct {
+	Trace    string
+	Device   string
+	Cluster  uint32
+	Key      string
+	Replicas []string
+	Format   string
 }
 
 // Start opens a span for the named operation.
@@ -159,10 +112,10 @@ func (s *Span) closePhase(now time.Time) {
 }
 
 // End closes the span, records every phase into the tracer's instruments,
-// retains it in the flight recorder (outcome "ok"), and returns the phase
-// breakdown plus the whole-operation duration (for attachment to an event
-// payload).
-func (s *Span) End() ([]Phase, time.Duration) {
+// retains it with labels l in the flight recorder (outcome "ok"), and returns
+// the phase breakdown plus the whole-operation duration (for attachment to
+// an event payload).
+func (s *Span) End(l Labels) ([]Phase, time.Duration) {
 	if s == nil {
 		return nil, 0
 	}
@@ -177,15 +130,16 @@ func (s *Span) End() ([]Phase, time.Duration) {
 			s.t.phaseBytes.With(s.op, p.Name).Add(float64(p.Bytes))
 		}
 	}
-	s.record("ok", "", total)
+	s.record(l, "ok", "", total)
 	return s.phases, total
 }
 
-// Fail closes the span with outcome "error" and retains it in the flight
-// recorder. Failed spans do not feed the duration histograms — error counting
-// lives in dedicated counters — but their partial phase breakdown is exactly
-// what a post-incident look-back needs ("it died mid-ship after 9.8s").
-func (s *Span) Fail(err error) {
+// Fail closes the span with outcome "error" and retains it with labels l —
+// whatever was known when the operation died — in the flight recorder.
+// Failed spans do not feed the duration histograms — error counting lives in
+// dedicated counters — but their partial phase breakdown is exactly what a
+// post-incident look-back needs ("it died mid-ship after 9.8s").
+func (s *Span) Fail(l Labels, err error) {
 	if s == nil {
 		return
 	}
@@ -195,23 +149,23 @@ func (s *Span) Fail(err error) {
 	if err != nil {
 		detail = err.Error()
 	}
-	s.record("error", detail, now.Sub(s.start))
+	s.record(l, "error", detail, now.Sub(s.start))
 }
 
 // record retains the finished span in the tracer's flight recorder, if any.
-func (s *Span) record(outcome, errDetail string, total time.Duration) {
+func (s *Span) record(l Labels, outcome, errDetail string, total time.Duration) {
 	rec := s.t.recorder
 	if rec == nil {
 		return
 	}
 	sr := SpanRecord{
 		Op:         s.op,
-		Trace:      s.trace,
-		Device:     s.device,
-		Cluster:    s.cluster,
-		Key:        s.key,
-		Replicas:   append([]string(nil), s.replicas...),
-		Format:     s.format,
+		Trace:      l.Trace,
+		Device:     l.Device,
+		Cluster:    l.Cluster,
+		Key:        l.Key,
+		Replicas:   append([]string(nil), l.Replicas...),
+		Format:     l.Format,
 		Outcome:    outcome,
 		Error:      errDetail,
 		Start:      s.start,

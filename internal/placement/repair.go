@@ -47,6 +47,11 @@ type Repairer struct {
 	stop chan struct{}
 	done chan struct{}
 
+	// sweep serializes sweeps. A sweep skips clusters another one holds
+	// busy, so without it an explicit RepairNow racing the background loop
+	// could return before the clusters it was asked to repair are repaired.
+	sweep sync.Mutex
+
 	startOnce sync.Once
 	stopOnce  sync.Once
 	started   bool
@@ -140,10 +145,13 @@ func (r *Repairer) Close() {
 }
 
 // RepairNow synchronously sweeps every under-replicated cluster once,
-// re-shipping each toward k replicas. It returns the number of clusters
-// repaired and the first hard failure (a cluster that could not be repaired
-// stays under-replicated; the next kick retries it).
+// re-shipping each toward k replicas, after any sweep already in flight has
+// finished. It returns the number of clusters repaired and the first hard
+// failure (a cluster that could not be repaired stays under-replicated; the
+// next kick retries it).
 func (r *Repairer) RepairNow(ctx context.Context) (int, error) {
+	r.sweep.Lock()
+	defer r.sweep.Unlock()
 	ids := r.target.UnderReplicated(r.k)
 	repaired := 0
 	var firstErr error

@@ -121,3 +121,75 @@ func TestRepairerCloseIdempotent(t *testing.T) {
 	r.Close()
 	r.Close() // must not panic or hang
 }
+
+// busyTarget holds its first repair open until released and, like the
+// runtime with a cluster reserved busy, hides that cluster from
+// UnderReplicated meanwhile.
+type busyTarget struct {
+	fakeTarget
+	entered chan struct{}
+	release chan struct{}
+	busy    bool
+}
+
+func (b *busyTarget) UnderReplicated(k int) []uint32 {
+	b.mu.Lock()
+	busy := b.busy
+	b.mu.Unlock()
+	if busy {
+		return nil
+	}
+	return b.fakeTarget.UnderReplicated(k)
+}
+
+func (b *busyTarget) RepairCluster(ctx context.Context, c uint32, k int) error {
+	b.mu.Lock()
+	first := b.entered != nil
+	if first {
+		b.busy = true
+		close(b.entered)
+		b.entered = nil
+	}
+	b.mu.Unlock()
+	if first {
+		<-b.release
+		b.mu.Lock()
+		b.busy = false
+		b.mu.Unlock()
+	}
+	return b.fakeTarget.RepairCluster(ctx, c, k)
+}
+
+func TestRepairNowWaitsForSweepInFlight(t *testing.T) {
+	entered := make(chan struct{})
+	target := &busyTarget{fakeTarget: fakeTarget{under: []uint32{7}},
+		entered: entered, release: make(chan struct{})}
+	r := NewRepairer(target, 2, RepairerOptions{})
+	r.Start()
+	defer r.Close()
+	r.Kick("test")
+	<-entered // the background sweep holds cluster 7
+
+	type result struct {
+		n        int
+		err      error
+		repaired []uint32
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := r.RepairNow(context.Background())
+		done <- result{n, err, target.repairedIDs()}
+	}()
+	var res result
+	select {
+	case res = <-done:
+		close(target.release)
+	case <-time.After(20 * time.Millisecond):
+		close(target.release)
+		res = <-done
+	}
+	if res.err != nil || len(res.repaired) != 1 || res.repaired[0] != 7 {
+		t.Fatalf("RepairNow returned (%d, %v) with repaired = %v; want cluster 7 repaired by then",
+			res.n, res.err, res.repaired)
+	}
+}
